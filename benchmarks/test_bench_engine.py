@@ -12,7 +12,10 @@ from repro.workloads import loads_trace, stores_trace
 
 def test_bench_simulation_cycles_per_second(benchmark):
     """Full 2-thread CMP: processor cycles simulated per wall second
-    (default skip-ahead event kernel)."""
+    under the default batch kernel.  This is the batch kernel's *worst
+    case* — both threads stay runnable, so almost no whole-cycle jumps
+    fire and the win comes only from selective component activation
+    (~1.7x over the cycle kernel here)."""
     config = baseline_config(n_threads=2, arbiter="vpc",
                              vpc=VPCAllocation.equal(2))
     system = CMPSystem(config, [loads_trace(0), stores_trace(1)])
@@ -23,25 +26,11 @@ def test_bench_simulation_cycles_per_second(benchmark):
 
 def test_bench_simulation_cycle_kernel(benchmark):
     """The same system under the reference cycle-by-cycle kernel — the
-    baseline the event kernel's speedup is measured against."""
+    baseline the batch kernel's speedup is measured against."""
     config = baseline_config(n_threads=2, arbiter="vpc",
                              vpc=VPCAllocation.equal(2))
     system = CMPSystem(config, [loads_trace(0), stores_trace(1)],
                        kernel="cycle")
-    system.run(5_000)
-    cycles = 10_000
-    benchmark.pedantic(system.run, args=(cycles,), iterations=1, rounds=3)
-
-
-def test_bench_simulation_batch_kernel(benchmark):
-    """The same dense system under the batched SoA kernel.  This is the
-    batch kernel's *worst case* — both threads stay runnable, so almost
-    no whole-cycle jumps fire and the win comes only from selective
-    component activation (~1.7x over the cycle kernel here)."""
-    config = baseline_config(n_threads=2, arbiter="vpc",
-                             vpc=VPCAllocation.equal(2))
-    system = CMPSystem(config, [loads_trace(0), stores_trace(1)],
-                       kernel="batch")
     system.run(5_000)
     cycles = 10_000
     benchmark.pedantic(system.run, args=(cycles,), iterations=1, rounds=3)

@@ -275,10 +275,10 @@ class CacheBank:
             self._wbmem_wait[0].thread_id
         ):
             return now
-        # Hot path (the event kernel calls this every attempt): read the
-        # gather buffers' internals directly instead of going through
-        # occupancy/has_line/wants_retire — property and generator
-        # overhead here is measurable on scan-hostile workloads.
+        # Read the gather buffers' internals directly, with the same
+        # predicates the batch kernel's inlined wake computation
+        # (batch_kernel._tick_bank) uses, instead of going through
+        # occupancy/has_line/wants_retire.
         sm_limit = self.config.state_machines_per_thread
         sm_count = self._sm_count
         pending_stores = self._pending_stores

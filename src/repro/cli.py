@@ -412,7 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             capacity_policy=args.capacity,
             vpc_selection=args.selection,
             telemetry=telemetry,
-            kernel=args.kernel or "event",
+            kernel=args.kernel or "batch",
         )
     if resumed is None and args.cpi_stacks is not None:
         system.attach_cycle_accounting()

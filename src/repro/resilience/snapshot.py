@@ -6,7 +6,7 @@ bit-identically in a *different process on a different day*:
 
 * the entire :class:`~repro.system.cmp.CMPSystem` object graph — caches,
   MSHRs, arbiter virtual-time registers, in-flight requests, the
-  skip-ahead kernel's adaptive state — via one ``pickle`` (shared
+  kernel name and skip counters — via one ``pickle`` (shared
   references, e.g. the telemetry bus and its attached metrics collector,
   are preserved by the pickle memo);
 * every workload cursor: traces are wrapped in :class:`ResumableTrace`,
@@ -46,8 +46,10 @@ from repro.workloads import build_trace
 
 #: Bump whenever the payload layout or any pickled class changes shape
 #: incompatibly; stale checkpoints then fail header validation instead
-#: of unpickling garbage.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: of unpickling garbage.  Schema 2: the event kernel and its adaptive
+#: skip state were removed, so a schema-1 system may name a kernel that
+#: no longer exists.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 _MAGIC = b"REPRO-CKPT\n"
 

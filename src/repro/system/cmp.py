@@ -49,7 +49,7 @@ class CMPSystem:
         vpc_selection: str = "finish",
         record_requests: bool = False,
         smt_degree: int = 1,
-        kernel: str = "event",
+        kernel: str = "batch",
         telemetry: Optional[TelemetryBus] = None,
     ) -> None:
         config.validate()
@@ -70,10 +70,6 @@ class CMPSystem:
         self.skipped_cycles = 0
         self.skip_attempts = 0
         self.skips_taken = 0
-        # Event-kernel profitability adapter state (see kernel.run_event):
-        # epochs left to sleep scanning, and the next sleep length.
-        self._skip_sleep = 0
-        self._skip_penalty = 1
         self.intra_thread_row = intra_thread_row
         self.vpc_selection = vpc_selection
         self.record_requests = record_requests
@@ -440,18 +436,6 @@ class CMPSystem:
         if self.crossbar.busy() or self.l2.busy() or self.memory.busy():
             return True
         return self.l3 is not None and self.l3.busy()
-
-    def next_component_event(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which any non-core component
-        could act (``NEVER`` when the machine is fully drained)."""
-        nxt = min(
-            self.crossbar.next_event(now),
-            self.l2.next_event(now),
-            self.memory.next_event(now),
-        )
-        if self.l3 is not None:
-            nxt = min(nxt, self.l3.next_event(now))
-        return nxt
 
     # ------------------------------------------------------------------ #
     # Reporting helpers (interval-aware reporting lives in simulator.py).

@@ -3,7 +3,7 @@
 ``repro.cli`` (single runs) and ``repro.experiments.runner`` (paper
 experiments) grew the same observability surface one PR at a time, each
 copy-pasting the other's flags — by PR 7 the two copies had drifted:
-``--kernel`` defaulted differently (``None`` vs ``"event"``), and the
+``--kernel`` defaulted differently on each side, and the
 ``--serve-linger``/``--stale-after`` help text disagreed about what it
 applied to.  This module is the single source of truth: one *parent*
 parser (argparse's composition mechanism — ``add_help=False``, passed
@@ -33,10 +33,11 @@ def telemetry_options() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("observability")
     group.add_argument("--kernel", default=None,
-                       choices=("cycle", "event", "batch"),
-                       help="simulation kernel (default: event; all three "
-                            "produce bit-identical results, wall time "
-                            "only — see tests/test_kernel_equivalence.py)")
+                       choices=("cycle", "batch"),
+                       help="simulation kernel (default: batch; cycle is "
+                            "the reference oracle — both produce "
+                            "bit-identical results, wall time only, see "
+                            "tests/test_kernel_equivalence.py)")
     group.add_argument("--profile", default=None, metavar="PATH",
                        help="profile the run with cProfile: dump pstats "
                             "to PATH and print the top-20 cumulative "

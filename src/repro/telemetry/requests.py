@@ -7,7 +7,7 @@ demand load's end-to-end latency is decomposed into per-stage segments
 queues, L2 service, DRAM queueing and DRAM service — the same taxonomy
 names as the PR 7 CPI-stack buckets), with the conservation contract
 that the segments of every traced request sum **exactly** to its
-issue→critical-word latency, on all three kernels.
+issue→critical-word latency, on both kernels.
 
 Three consumers ride on the per-request journeys:
 

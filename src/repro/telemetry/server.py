@@ -92,7 +92,7 @@ class LiveRun:
         self.alert_engine = None
         self._alert_lock = threading.Lock()
         self.run_label = ""
-        self.run_kernel = ""      # simulation kernel ("cycle"/"event"/...)
+        self.run_kernel = ""      # simulation kernel ("cycle"/"batch")
         self.total = 0
         self.done = 0
         self.violations = 0

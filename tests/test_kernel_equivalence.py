@@ -1,38 +1,40 @@
-"""Cross-kernel equivalence: every kernel must reproduce the
+"""Cross-kernel equivalence: the batch kernel must reproduce the
 cycle-by-cycle stepper bit for bit.
 
-Three kernels share one state-transition model (``repro.system.kernel``,
+Two kernels share one state-transition model (``repro.system.kernel``,
 ``repro.system.batch_kernel``): ``cycle`` steps every component every
-cycle and is the oracle; ``event`` skips globally-quiescent stretches;
-``batch`` activates components selectively and jumps between wake
-cycles.  Every field of
+cycle and is the oracle; ``batch``, the default, activates components
+selectively and jumps between wake cycles.  Every field of
 :class:`~repro.system.simulator.SimulationResult` — IPCs, instruction
 counts, utilizations, all L2 counters, and (when collected) the full
 metrics snapshot — is compared with exact equality, no tolerances: the
-skipping kernels only elide cycles they can prove are no-ops, so any
+batch kernel only elides cycles it can prove are no-ops, so any
 divergence is a bug.
 
 The matrix also covers the surfaces that historically break exactness
 claims: telemetry attachment (replacement-policy clocks read
 ``system.cycle`` mid-cycle), metrics windows (chunked ``run()`` calls),
-checkpoint/resume mid-measurement, and the lockstep lane driver.
+checkpoint/resume mid-measurement, and the memory-side configurations
+whose wake edges the batch kernel handles explicitly (an L3, a shared
+memory channel, the next-line prefetcher).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.common.config import baseline_config
+from repro.cache.l3 import L3Config
+from repro.common.config import CoreConfig, MemoryConfig, baseline_config
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
 from repro.workloads.microbench import loads_trace, stores_trace
 from repro.workloads.profiles import HETEROGENEOUS_MIXES, spec_trace
 
-SKIPPING_KERNELS = ("event", "batch")
+SKIPPING_KERNELS = ("batch",)
 
 
 def _run(config, trace_factories, kernel, warmup, measure, metrics=False,
@@ -79,7 +81,7 @@ class TestKernelEquivalence:
     def test_two_thread_loads_stores(self, arbiter):
         config = baseline_config(n_threads=2, arbiter=arbiter)
         systems = _assert_equivalent(config, [loads_trace, stores_trace])
-        # The matrix is vacuous unless the skipping kernels skipped.
+        # The matrix is vacuous unless the batch kernel skipped.
         for kernel, system in systems.items():
             assert system.skipped_cycles > 0, kernel
 
@@ -173,40 +175,43 @@ class TestKernelEquivalence:
             assert system.skip_attempts >= system.skips_taken > 0, kernel
             assert system.skipped_cycles >= system.skips_taken, kernel
 
+    @pytest.mark.parametrize("l3, memory, prefetch", [
+        (True, None, False),
+        (False, "fq", False),
+        (False, "fcfs", False),
+        (False, None, True),
+        (True, "fq", True),
+    ], ids=["l3", "shared-fq", "shared-fcfs", "prefetch", "combined"])
+    def test_memory_side_configs(self, l3, memory, prefetch):
+        # Each of these builds a path the batch kernel wakes explicitly:
+        # the L3 tick gate and its bank notifications, the shared
+        # channel's `pending` probe, and prefetch fills from DRAM.
+        names = HETEROGENEOUS_MIXES["mix1"]
+        factories = [
+            (lambda tid, name=name: spec_trace(name, tid)) for name in names
+        ]
+        config = baseline_config(n_threads=4, arbiter="vpc")
+        changes = {}
+        if l3:
+            changes["l3"] = L3Config()
+        if memory is not None:
+            changes["memory"] = MemoryConfig(sharing="shared",
+                                             shared_scheduler=memory)
+        if prefetch:
+            changes["core"] = CoreConfig(prefetch_enabled=True)
+        config = replace(config, **changes).validate()
+        systems = _assert_equivalent(config, factories,
+                                     warmup=6_000, measure=6_000)
+        system = systems["batch"]
+        assert system.skipped_cycles > 0
+        if l3:
+            counters = system.l3.counters
+            assert counters.get("read_hits") + counters.get("read_misses") > 0
+        if prefetch:
+            assert sum(core.prefetches_issued for core in system.cores) > 0
+
     def test_unknown_kernel_rejected(self):
         config = baseline_config(n_threads=1, arbiter="row-fcfs")
-        with pytest.raises(ValueError):
-            CMPSystem(config, [loads_trace(0)], kernel="warp")
-
-
-class TestLockstepLanes:
-    def test_lane_driver_matches_serial_run_point(self):
-        """K points interleaved in one process are bit-identical to the
-        same points run serially (and under a different kernel)."""
-        from repro.experiments import parallel
-        from repro.experiments.parallel import SimPoint
-
-        points = [
-            SimPoint(
-                config=baseline_config(n_threads=2, arbiter=arbiter),
-                traces=(("loads",), ("stores",)),
-                warmup=2_000,
-                measure=2_000,
-            )
-            for arbiter in ("vpc", "fcfs", "row-fcfs", "vpc")
-        ]
-        serial = [parallel.run_point(p, kernel="event") for p in points]
-        try:
-            parallel.configure(lanes=3, kernel="batch")
-            laned = parallel.run_points(points)
-        finally:
-            parallel.configure(lanes=1, kernel="event", jobs=1, cache=True)
-        assert [asdict(r) for r in laned] == [asdict(r) for r in serial]
-
-    def test_lanes_reject_conflicting_modes(self):
-        from repro.experiments import parallel
-        try:
+        for kernel in ("warp", "event"):
             with pytest.raises(ValueError):
-                parallel.configure(lanes=2, jobs=4)
-        finally:
-            parallel.configure(lanes=1, jobs=1, cache=True)
+                CMPSystem(config, [loads_trace(0)], kernel=kernel)

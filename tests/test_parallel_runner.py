@@ -11,10 +11,15 @@ key sensitivity, opt-out).  The autouse conftest fixture points
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.config import VPCAllocation, baseline_config, private_equivalent
 from repro.experiments import parallel
 from repro.experiments.parallel import SimPoint, run_point, run_points
@@ -149,7 +154,7 @@ def test_run_experiment_attaches_manifest(monkeypatch):
     result = runner.run_experiment("dummy", fast=True)
     manifest = result.manifest
     assert manifest is not None
-    assert manifest.kernel == "event"
+    assert manifest.kernel == "batch"
     assert manifest.cache == {"hits": 0, "misses": 1}
     assert manifest.git_sha
     assert manifest.wall_time_s >= 0
@@ -201,3 +206,15 @@ def test_corrupt_cache_entry_falls_back_to_simulation(tmp_path):
     # ... and the bad entry was repaired in passing.
     assert run_points([point])[0] == expected
     assert parallel.cache_stats["hits"] >= 1
+
+
+def test_simulator_and_runner_import_without_numpy():
+    # Neither the simulator nor the point runner needs numpy; importing
+    # it would add tens of MB of RSS and its import time to every run.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = ("import sys, repro.system.cmp, repro.experiments.parallel; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

@@ -145,6 +145,24 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="mine"):
             load_checkpoint(ckpt, expect_key="other")
 
+    def test_schema_1_checkpoint_rejected(self, tmp_path):
+        # Schema 1 predates the removal of the event kernel: its pickled
+        # system may name a kernel that no longer exists, so it must be
+        # refused at the header instead of failing mid-resume.
+        ckpt = tmp_path / "c.ckpt"
+        system, _ = _system("vpc", wrapped=True)
+        system.run(100)
+        write_checkpoint(ckpt, system, _state_stub(), point_key="abc")
+        magic, header, payload = ckpt.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["schema"] = 1
+        ckpt.write_bytes(b"\n".join(
+            [magic, json.dumps(fields, sort_keys=True).encode(), payload]))
+        with pytest.raises(CheckpointError, match="schema 1"):
+            load_checkpoint(ckpt)
+        with pytest.raises(CheckpointError):
+            resume_simulation(ckpt)
+
     def test_missing_and_garbage_files(self, tmp_path):
         with pytest.raises(CheckpointError):
             read_checkpoint_header(tmp_path / "nope.ckpt")
